@@ -207,12 +207,6 @@ pub fn parse_qasm(src: &str) -> Result<Circuit, QasmError> {
     circuit.ok_or_else(|| QasmError::at(0, "no 'qreg q[n];' declaration"))
 }
 
-/// `Option` shim over [`parse_qasm`] for call sites that only care
-/// whether the program parses.
-pub fn from_qasm(src: &str) -> Option<Circuit> {
-    parse_qasm(src).ok()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -232,7 +226,7 @@ mod tests {
     fn roundtrip() {
         let c = sample();
         let q = to_qasm(&c);
-        let back = from_qasm(&q).expect("own output parses");
+        let back = parse_qasm(&q).expect("own output parses");
         assert_eq!(back.n_qubits(), c.n_qubits());
         assert_eq!(back.len(), c.len());
         assert_eq!(back.instrs(), c.instrs());
@@ -247,14 +241,14 @@ mod tests {
 
     #[test]
     fn rejects_garbage() {
-        assert!(from_qasm("qreg q[2];\nfoo q[0];").is_none());
-        assert!(from_qasm("h q[0];").is_none(), "missing qreg");
+        assert!(parse_qasm("qreg q[2];\nfoo q[0];").is_err());
+        assert!(parse_qasm("h q[0];").is_err(), "missing qreg");
     }
 
     #[test]
     fn comments_and_blanks_ignored() {
         let src = "OPENQASM 2.0;\n// a comment\n\nqreg q[1];\nh q[0];\n";
-        let c = from_qasm(src).expect("parses");
+        let c = parse_qasm(src).expect("parses");
         assert_eq!(c.len(), 1);
     }
 
@@ -273,15 +267,15 @@ cx q[0],q[1]; // entangle
 // rz below
 rz(0.25) q[1];
 ";
-        let c = from_qasm(src).expect("real-world trimmings parse");
+        let c = parse_qasm(src).expect("real-world trimmings parse");
         assert_eq!(c.n_qubits(), 2);
         assert_eq!(c.len(), 3);
     }
 
     #[test]
     fn comment_only_and_empty_sources_have_no_register() {
-        assert!(from_qasm("// nothing here\n\n").is_none());
-        assert!(from_qasm("").is_none());
+        assert!(parse_qasm("// nothing here\n\n").is_err());
+        assert!(parse_qasm("").is_err());
     }
 
     #[test]
@@ -387,7 +381,7 @@ rz(0.25) q[1];
             /// decimal form.
             #[test]
             fn qasm_roundtrips(c in arb_circuit()) {
-                let back = from_qasm(&to_qasm(&c)).expect("own output parses");
+                let back = parse_qasm(&to_qasm(&c)).expect("own output parses");
                 prop_assert_eq!(back, c);
             }
         }

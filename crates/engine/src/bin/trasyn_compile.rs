@@ -21,7 +21,6 @@
 //!                          (commute, fuse, cx-cancel, zx-fold, basis=u3,
 //!                          basis=rz); default `default`. Prints a per-pass
 //!                          table (time, instructions, rotations) to stderr.
-//!   --no-transpile         deprecated alias for `--pipeline none`
 //!   --verify               attach an equivalence certificate to every item
 //!                          (compiled vs requested circuit, exact-ring /
 //!                          operator-norm / statevector oracle) and exit 1
@@ -85,7 +84,7 @@ fn usage() -> &'static str {
     "usage: trasyn-compile [--backend trasyn|gridsynth|annealing] [--epsilon EPS] \
      [--threads N] [--cache-capacity N] [--cache-policy fifo|lru|2q|freq] \
      [--cache-trace FILE] [--samples N] [--max-t N] \
-     [--pipeline none|fast|default|aggressive|zx|PASS,PASS,...] [--no-transpile] \
+     [--pipeline none|fast|default|aggressive|zx|PASS,PASS,...] \
      [--verify] [--profile] [--lint] [--deny-warnings] [--emit-qasm DIR] [--trace FILE] \
      [--trace-tree FILE] [--out FILE] [--cache-file FILE] <FILE.qasm>..."
 }
@@ -163,8 +162,6 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
                 let v = value("--pipeline")?;
                 opts.pipeline = PipelineSpec::parse(&v).map_err(|e| e.to_string())?;
             }
-            // Deprecated alias from the `transpile: bool` era.
-            "--no-transpile" => opts.pipeline = PipelineSpec::none(),
             "--verify" => opts.verify = true,
             "--profile" => opts.profile = true,
             "--lint" => opts.lint = true,

@@ -59,7 +59,7 @@ use circuit::synthesize::CachedSynthesis;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
 /// Key of one cached synthesis: quantized unitary + synthesizer settings.
@@ -154,6 +154,24 @@ impl Shard {
         }
         evicted
     }
+}
+
+/// Locks a shard, recovering it if a panic poisoned the lock.
+///
+/// A panic mid-operation (in policy or recorder code) can leave `map`,
+/// `policy` and `ages` disagreeing, so a poisoned shard is emptied before
+/// use: its entries are recomputable and every backend is deterministic,
+/// so dropping them changes no compiled output, while keeping them would
+/// make every later request that hashes here fail.
+fn lock_shard(shard: &Mutex<Shard>) -> MutexGuard<'_, Shard> {
+    shard.lock().unwrap_or_else(|poison| {
+        let mut s = poison.into_inner();
+        s.map.clear();
+        s.policy.clear();
+        s.ages.clear();
+        shard.clear_poison();
+        s
+    })
 }
 
 /// A sharded, thread-safe, capacity-bounded synthesis cache.
@@ -310,7 +328,7 @@ impl SynthCache {
 
     /// Looks `key` up, counting a hit or miss.
     pub fn get(&self, key: &CacheKey) -> Option<CachedSynthesis> {
-        let mut shard = self.shard_of(key).lock().expect("cache shard poisoned");
+        let mut shard = lock_shard(self.shard_of(key));
         match shard.map.get(key).cloned() {
             Some(v) => {
                 shard.policy.note_hit(key);
@@ -333,7 +351,7 @@ impl SynthCache {
     /// allocation; a duplicate insert does not touch the eviction policy.
     pub fn insert(&self, key: CacheKey, value: CachedSynthesis) -> CachedSynthesis {
         let size_class = size_class_of(&value);
-        let mut shard = self.shard_of(&key).lock().expect("cache shard poisoned");
+        let mut shard = lock_shard(self.shard_of(&key));
         if let Some(existing) = shard.map.get(&key).cloned() {
             self.record(&key, EventKind::Insert, size_class);
             return existing;
@@ -363,10 +381,7 @@ impl SynthCache {
 
     /// Number of resident entries.
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().expect("cache shard poisoned").map.len())
-            .sum()
+        self.shards.iter().map(|s| lock_shard(s).map.len()).sum()
     }
 
     /// `true` when no entry is resident.
@@ -381,7 +396,7 @@ impl SynthCache {
     pub fn export_entries(&self) -> Vec<(CacheKey, CachedSynthesis)> {
         let mut out = Vec::with_capacity(self.len());
         for s in &self.shards {
-            let s = s.lock().expect("cache shard poisoned");
+            let s = lock_shard(s);
             for key in s.policy.keys() {
                 if let Some(v) = s.map.get(&key) {
                     out.push((key, v.clone()));
@@ -397,7 +412,7 @@ impl SynthCache {
     /// silently); a key already resident is left as-is.
     pub fn load_entry(&self, key: CacheKey, value: CachedSynthesis) {
         let size_class = size_class_of(&value);
-        let mut shard = self.shard_of(&key).lock().expect("cache shard poisoned");
+        let mut shard = lock_shard(self.shard_of(&key));
         if shard.map.contains_key(&key) {
             self.record(&key, EventKind::Load, size_class);
             return;
@@ -412,7 +427,7 @@ impl SynthCache {
     /// Drops every entry. Counters are preserved.
     pub fn clear(&self) {
         for s in &self.shards {
-            let mut s = s.lock().expect("cache shard poisoned");
+            let mut s = lock_shard(s);
             s.map.clear();
             s.policy.clear();
             s.ages.clear();
@@ -427,7 +442,7 @@ impl SynthCache {
         self.shards
             .iter()
             .map(|s| {
-                let s = s.lock().expect("cache shard poisoned");
+                let s = lock_shard(s);
                 ShardStats {
                     entries: s.map.len(),
                     evictions: s.evictions,
@@ -447,7 +462,7 @@ impl SynthCache {
     pub fn policy_counters(&self) -> PolicyCounters {
         let mut total = PolicyCounters::default();
         for s in &self.shards {
-            let s = s.lock().expect("cache shard poisoned");
+            let s = lock_shard(s);
             total.merge(&s.policy.counters());
         }
         total
@@ -788,5 +803,48 @@ mod tests {
             .map(|(k, _)| k.unitary[0])
             .collect();
         assert_eq!(keys, vec![1, 2, 0], "LRU canonical order is LRU→MRU");
+    }
+
+    #[test]
+    fn poisoned_shard_recovers_instead_of_failing_every_later_request() {
+        let c = Arc::new(SynthCache::with_shards(64, 4));
+        let shard = |k: &CacheKey| (k.digest() % 4) as usize;
+        let in_shard0: Vec<CacheKey> = (0..).map(key).filter(|k| shard(k) == 0).take(2).collect();
+        let elsewhere = (0..)
+            .map(key)
+            .find(|k| shard(k) != 0)
+            .expect("some key misses shard 0");
+        c.insert(in_shard0[0], value());
+        c.insert(elsewhere, value());
+
+        // A panic while shard 0's lock is held — as a panicking policy or
+        // recorder would raise — poisons that shard.
+        let poisoner = Arc::clone(&c);
+        let joined = std::thread::spawn(move || {
+            let _held = poisoner.shards[0].lock().unwrap();
+            panic!("injected panic under the shard lock");
+        })
+        .join();
+        assert!(joined.is_err());
+        assert!(c.shards[0].is_poisoned());
+
+        // Every operation keeps working. The poisoned shard comes back
+        // empty (its entries are recomputable); other shards keep theirs.
+        assert!(
+            c.get(&in_shard0[0]).is_none(),
+            "recovered shard starts empty"
+        );
+        assert!(!c.shards[0].is_poisoned());
+        assert!(c.get(&elsewhere).is_some());
+        assert_eq!(c.len(), 1);
+        c.insert(in_shard0[1], value());
+        c.insert(in_shard0[0], value());
+        assert!(c.get(&in_shard0[0]).is_some(), "a re-insert is served");
+        assert!(c.get(&in_shard0[1]).is_some());
+        assert_eq!(c.len(), 3);
+        assert_eq!(c.export_entries().len(), 3);
+        let stats = c.shard_stats();
+        assert_eq!(stats[0].entries, 2);
+        assert_eq!(stats.iter().map(|s| s.entries).sum::<usize>(), 3);
     }
 }

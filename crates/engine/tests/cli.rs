@@ -189,7 +189,7 @@ fn malformed_qasm_error_names_the_line() {
 #[test]
 fn pipeline_presets_compile_and_report_passes() {
     // `--pipeline zx` must run phase folding and emit the pass table plus
-    // per-pass JSON; `--no-transpile` stays a working alias for `none`.
+    // per-pass JSON; `--pipeline none` runs no lowering passes.
     let dir = tmp_dir("pipeline");
     let report = dir.join("report.json");
     let out = run(&[
@@ -213,7 +213,8 @@ fn pipeline_presets_compile_and_report_passes() {
     let out = run(&[
         "--backend",
         "gridsynth",
-        "--no-transpile",
+        "--pipeline",
+        "none",
         "--out",
         report.to_str().unwrap(),
         smoke_qasm().to_str().unwrap(),

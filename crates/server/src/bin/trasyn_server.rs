@@ -6,20 +6,14 @@
 //! options:
 //!   --addr HOST:PORT       bind address (default 127.0.0.1:8087; port 0 = ephemeral)
 //!   --addr-file FILE       write the bound address to FILE (for scripts using port 0)
-//!   --event-core           readiness-driven epoll core (default on Linux):
-//!                          one nonblocking loop owns every connection,
-//!                          handler threads only run parsed requests
-//!   --thread-core          blocking thread-per-connection core (default
-//!                          elsewhere; the pre-event-core behaviour)
 //!   --http-workers N       handler threads (default 4)
 //!   --queue-depth N        bounded dispatch queue; overflow answers 429 (default 64)
 //!   --max-conns N          open-connection cap; excess accepts answer 429
-//!                          (default 10240, event core only)
+//!                          (default 10240)
 //!   --read-timeout-ms N    whole-request read deadline; a connection that
 //!                          dribbles a request slower than this gets 408
 //!                          (default 5000)
-//!   --keepalive-timeout-ms N  idle keep-alive reap timeout (default 5000,
-//!                          event core only)
+//!   --keepalive-timeout-ms N  idle keep-alive reap timeout (default 5000)
 //!   --threads N            synthesis worker threads per request (default 1)
 //!   --cache-capacity N     shared-cache entries, 0 = unbounded (default 65536)
 //!   --cache-policy NAME    eviction policy: fifo|lru|2q|freq (default fifo)
@@ -44,16 +38,19 @@
 //!   --trace-seed N         sampling seed, for reproducible 1-in-N picks
 //! ```
 //!
-//! The server runs until SIGINT/SIGTERM, then drains gracefully: the
-//! accept loop stops, queued connections are served, in-flight requests
-//! finish, and the cache snapshot is saved when `--cache-file` is set.
+//! Connections are served by the epoll event core: one nonblocking loop
+//! owns every connection, handler threads only run parsed requests.
+//!
+//! The server runs until SIGINT/SIGTERM, then drains gracefully: it stops
+//! accepting, in-flight requests finish, buffered responses flush, and
+//! the cache snapshot is saved when `--cache-file` is set.
 //!
 //! Exit codes: 0 clean shutdown, 1 startup/save failure, 2 usage error.
 
 use engine::{
     AnnealingBackend, BackendKind, CachePolicy, Engine, GridsynthBackend, TrasynBackend, WarmStart,
 };
-use server::{CoreKind, Server, ServerConfig};
+use server::{Server, ServerConfig};
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -63,7 +60,6 @@ use std::time::Duration;
 struct Options {
     addr: String,
     addr_file: Option<PathBuf>,
-    core: CoreKind,
     http_workers: usize,
     queue_depth: usize,
     max_conns: usize,
@@ -84,8 +80,8 @@ struct Options {
 }
 
 fn usage() -> &'static str {
-    "usage: trasyn-server [--addr HOST:PORT] [--addr-file FILE] [--event-core | --thread-core] \
-     [--http-workers N] [--queue-depth N] [--max-conns N] [--read-timeout-ms N] \
+    "usage: trasyn-server [--addr HOST:PORT] [--addr-file FILE] [--http-workers N] \
+     [--queue-depth N] [--max-conns N] [--read-timeout-ms N] \
      [--keepalive-timeout-ms N] [--threads N] [--cache-capacity N] \
      [--cache-policy fifo|lru|2q|freq] [--cache-trace FILE] \
      [--cache-file FILE] [--backend trasyn|gridsynth|annealing] [--epsilon EPS] \
@@ -97,7 +93,6 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
     let mut opts = Options {
         addr: "127.0.0.1:8087".to_string(),
         addr_file: None,
-        core: CoreKind::default(),
         http_workers: 4,
         queue_depth: 64,
         max_conns: 10_240,
@@ -130,8 +125,6 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
         match a.as_str() {
             "--addr" => opts.addr = value("--addr")?,
             "--addr-file" => opts.addr_file = Some(PathBuf::from(value("--addr-file")?)),
-            "--event-core" => opts.core = CoreKind::Event,
-            "--thread-core" => opts.core = CoreKind::Thread,
             "--http-workers" => opts.http_workers = parse_usize("--http-workers", value("--http-workers")?)?,
             "--queue-depth" => opts.queue_depth = parse_usize("--queue-depth", value("--queue-depth")?)?,
             "--max-conns" => opts.max_conns = parse_usize("--max-conns", value("--max-conns")?)?,
@@ -212,12 +205,11 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
 }
 
 /// SIGINT/SIGTERM handling without any crate dependency: `std` already
-/// links libc on every supported platform, so declaring `signal(2)` is
-/// enough. The handler only sets an atomic — everything async-signal-safe.
+/// links libc, so declaring `signal(2)` is enough. The handler only sets
+/// an atomic — everything async-signal-safe.
 ///
-/// The sole `unsafe` in the workspace lives here (the workspace denies
-/// `unsafe_code`); the allow is scoped to this module so any new unsafe
-/// elsewhere still fails the build.
+/// The workspace denies `unsafe_code`; the allow is scoped to this module
+/// so any new unsafe elsewhere still fails the build.
 //
 // SAFETY: the `signal` extern matches the libc prototype `void
 // (*signal(int, void (*)(int)))(int)` up to the handler pointer being
@@ -225,7 +217,6 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
 // ignored). `on_signal` is async-signal-safe: it performs exactly one
 // atomic store, no allocation, locking, or formatting. Installation
 // happens once from `main` before any worker thread exists.
-#[cfg(unix)]
 #[allow(unsafe_code)]
 mod sig {
     use super::{AtomicBool, Ordering};
@@ -251,14 +242,6 @@ mod sig {
 
     pub fn requested() -> bool {
         SHUTDOWN.load(Ordering::SeqCst)
-    }
-}
-
-#[cfg(not(unix))]
-mod sig {
-    pub fn install() {}
-    pub fn requested() -> bool {
-        false
     }
 }
 
@@ -305,7 +288,6 @@ fn main() -> ExitCode {
         .map(|_| engine.cache().start_recording());
 
     let config = ServerConfig {
-        core: opts.core,
         http_workers: opts.http_workers,
         queue_depth: opts.queue_depth,
         max_conns: opts.max_conns,
@@ -316,7 +298,6 @@ fn main() -> ExitCode {
         cache_file: opts.cache_file.clone(),
         trace: opts.trace.clone(),
     };
-    let core = config.core;
 
     let handle = match Server::start(&opts.addr, config, engine) {
         Ok(h) => h,
@@ -339,13 +320,8 @@ fn main() -> ExitCode {
             return ExitCode::from(1);
         }
     }
-    let core_name = match core {
-        CoreKind::Event if cfg!(target_os = "linux") => "event core (epoll)",
-        CoreKind::Event => "thread core (event core unavailable on this platform)",
-        CoreKind::Thread => "thread core",
-    };
     eprintln!(
-        "[trasyn-server] listening on {addr} ({core_name}, {} workers, queue depth {}, max conns {})",
+        "[trasyn-server] listening on {addr} (event core (epoll), {} workers, queue depth {}, max conns {})",
         opts.http_workers, opts.queue_depth, opts.max_conns
     );
 

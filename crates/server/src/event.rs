@@ -1,5 +1,5 @@
-//! The event-driven server core (Linux): one nonblocking readiness loop
-//! owns every connection; a pool of handler threads runs the routes.
+//! The event-driven server core: one nonblocking readiness loop owns
+//! every connection; a pool of handler threads runs the routes.
 //!
 //! # Architecture
 //!
@@ -25,7 +25,7 @@
 //!
 //! # Backpressure
 //!
-//! Two caps replace the thread core's accept-queue cap:
+//! Two caps bound the work the server accepts:
 //! * **connection count** — accepts beyond `max_conns` are answered
 //!   `429` and closed before any read;
 //! * **pending requests** — when the dispatch queue is full, the request
@@ -79,7 +79,7 @@ pub(crate) struct Job {
     seq: u64,
     req: Request,
     /// Trace base: connection accept for a connection's first request,
-    /// first-byte arrival after that (matching the thread core).
+    /// first-byte arrival after that.
     base: Instant,
     /// When the request finished parsing — the `read` span's end and the
     /// `queue-wait` span's start.
@@ -122,7 +122,11 @@ impl Completions {
 
 /// What [`start`] hands back: the loop handle, the handler handles, and
 /// the wakeup channel the shutdown path pokes.
-pub(crate) type CoreHandles = (JoinHandle<()>, Vec<JoinHandle<()>>, Arc<Completions>);
+pub(crate) struct CoreHandles {
+    pub(crate) looper: JoinHandle<()>,
+    pub(crate) handlers: Vec<JoinHandle<()>>,
+    pub(crate) wake: Arc<Completions>,
+}
 
 /// Spawns the event loop plus `config.http_workers` handler threads.
 pub(crate) fn start(listener: TcpListener, shared: &Arc<Shared>) -> std::io::Result<CoreHandles> {
@@ -153,7 +157,11 @@ pub(crate) fn start(listener: TcpListener, shared: &Arc<Shared>) -> std::io::Res
             })?
     };
 
-    Ok((looper, handlers, completions))
+    Ok(CoreHandles {
+        looper,
+        handlers,
+        wake: completions,
+    })
 }
 
 /// Per-connection state machine. Lifecycle:
@@ -440,8 +448,6 @@ impl EventLoop {
                     conn.queue_error(error_response(status, msg));
                     break;
                 }
-                // The incremental parser never does I/O.
-                Err(ReadError::Closed) | Err(ReadError::Io(_)) => break,
             }
         }
         if parsed_any {
@@ -520,8 +526,7 @@ impl EventLoop {
             Ok(()) => conn.in_flight += 1,
             Err(_) => {
                 // Pending-request cap: the dispatch queue is full. Answer
-                // 429 in sequence and close — same contract as the thread
-                // core's accept-queue shed. The slot allocated for the
+                // 429 in sequence and close. The slot allocated for the
                 // job is returned first so the error takes its sequence
                 // number (the flusher would otherwise wait on it forever).
                 conn.next_seq = seq;
@@ -577,8 +582,7 @@ impl EventLoop {
                     .req_start
                     .is_some_and(|s| now.saturating_duration_since(s) >= request_deadline);
             if idle_expired {
-                // Idle keep-alive past its welcome: close silently, like
-                // the thread core's socket read timeout.
+                // Idle keep-alive past its welcome: close silently.
                 self.shared.metrics.conn_timeout();
                 let conn = self.conns.remove(&token).expect("token just listed");
                 self.drop_conn(conn);
@@ -679,8 +683,8 @@ fn handler_loop(shared: &Shared, completions: &Completions) {
     }
 }
 
-/// Runs one request through the routing table, preserving the thread
-/// core's trace/metrics contract: root span based at request arrival,
+/// Runs one request through the routing table with the server's
+/// trace/metrics contract: root span based at request arrival,
 /// `read` / `queue-wait` / `handle{parse,compile,write}` children whose
 /// durations sum to the trace total.
 fn handle_job(shared: &Shared, job: Job, picked_at: Instant, depth: usize) -> Completion {

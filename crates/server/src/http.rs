@@ -2,18 +2,16 @@
 //!
 //! Enough of RFC 7230 for a loopback/LAN compilation service and its load
 //! generator: request line + headers + `Content-Length` bodies, keep-alive
-//! connections, and fixed-length responses. Not implemented (requests
-//! using them are rejected with a 4xx, never mis-parsed): chunked
-//! transfer encoding, trailers, multi-line headers, and pipelining ahead
-//! of a response.
+//! connections, pipelined requests, and fixed-length responses. Not
+//! implemented (requests using them are rejected with a 4xx, never
+//! mis-parsed): chunked transfer encoding, trailers, and multi-line
+//! headers.
 //!
 //! Limits are explicit and enforced before allocation: 16 KiB of request
 //! head, 4 MiB of body ([`MAX_HEAD_BYTES`], [`MAX_BODY_BYTES`]).
 
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
-use std::time::Instant;
+use std::io::Write;
 
 /// Maximum bytes of request line + headers.
 pub const MAX_HEAD_BYTES: usize = 16 * 1024;
@@ -45,68 +43,12 @@ impl Request {
     }
 }
 
-/// Why a request could not be read.
+/// Why a request could not be parsed.
 #[derive(Debug)]
 pub enum ReadError {
-    /// The peer closed before sending a request — normal end of a
-    /// keep-alive connection.
-    Closed,
-    /// Socket error (including read timeouts).
-    Io(std::io::Error),
     /// The bytes were not a well-formed request this server accepts. The
     /// payload is the status + message to answer with.
     Bad(u16, &'static str),
-}
-
-impl From<std::io::Error> for ReadError {
-    fn from(e: std::io::Error) -> Self {
-        ReadError::Io(e)
-    }
-}
-
-/// Reads one request's line + headers — not the body — returning the
-/// request (empty body) and the declared `Content-Length`. The shed path
-/// uses this directly so a rejected request never costs a body read.
-///
-/// `deadline` bounds the **whole** head read, not one syscall: the
-/// socket's `SO_RCVTIMEO` restarts on every byte, so a drip-feeding
-/// client could otherwise hold the reader forever (slow loris). Reads go
-/// through `fill_buf` with a deadline check between syscalls, so the
-/// total wait is bounded by `deadline` plus one socket timeout; an
-/// expired deadline is answered `408`.
-pub fn read_head(
-    r: &mut BufReader<TcpStream>,
-    deadline: Option<Instant>,
-) -> Result<(Request, usize), ReadError> {
-    // Request line.
-    let line = read_line(r, true, deadline)?;
-    let (method, path) = parse_request_line(&line)?;
-
-    // Headers.
-    let mut headers = HashMap::new();
-    let mut head_bytes = line.len();
-    loop {
-        let line = read_line(r, false, deadline)?;
-        head_bytes += line.len() + 2;
-        if head_bytes > MAX_HEAD_BYTES {
-            return Err(ReadError::Bad(431, "request head too large"));
-        }
-        if line.is_empty() {
-            break;
-        }
-        parse_header_line(&line, &mut headers)?;
-    }
-
-    let len = body_len_of(&headers)?;
-    Ok((
-        Request {
-            method,
-            path,
-            headers,
-            body: Vec::new(),
-        },
-        len,
-    ))
 }
 
 /// Parses `METHOD PATH HTTP/1.x` into `(method, path)`.
@@ -163,15 +105,13 @@ fn body_len_of(headers: &HashMap<String, String>) -> Result<usize, ReadError> {
 
 /// Incremental HTTP/1.1 request parser for the event-driven core.
 ///
-/// The blocking reader above pulls bytes on demand; the event core gets
-/// bytes whenever the socket is readable, in whatever segmentation TCP
-/// delivered, so this parser accepts arbitrary splits: feed bytes with
-/// [`RequestParser::feed`], then drain complete requests with
-/// [`RequestParser::next_request`] (several per feed when the client
-/// pipelines). Limits ([`MAX_HEAD_BYTES`], [`MAX_BODY_BYTES`]) and
-/// rejection semantics match the blocking parser — an `Err` means the
-/// connection is unrecoverable (framing is lost) and must be answered
-/// and closed.
+/// The event core gets bytes whenever the socket is readable, in
+/// whatever segmentation TCP delivered, so this parser accepts arbitrary
+/// splits: feed bytes with [`RequestParser::feed`], then drain complete
+/// requests with [`RequestParser::next_request`] (several per feed when
+/// the client pipelines). Both limits ([`MAX_HEAD_BYTES`],
+/// [`MAX_BODY_BYTES`]) apply; an `Err` means the connection is
+/// unrecoverable (framing is lost) and must be answered and closed.
 #[derive(Default)]
 pub struct RequestParser {
     buf: Vec<u8>,
@@ -216,9 +156,9 @@ impl RequestParser {
             }
             let head = std::str::from_utf8(&self.buf[..head_end])
                 .map_err(|_| ReadError::Bad(400, "non-UTF-8 request head"))?;
-            // Lines may end in CRLF or bare LF, matching the blocking
-            // reader; the terminating empty line is not iterated because
-            // `head_end` excludes the blank-line terminator.
+            // Lines may end in CRLF or bare LF; the terminating empty
+            // line is not iterated because `head_end` excludes the
+            // blank-line terminator.
             let mut lines = head
                 .split('\n')
                 .map(|l| l.strip_suffix('\r').unwrap_or(l))
@@ -279,81 +219,6 @@ fn terminator_len(buf: &[u8], head_end: usize) -> usize {
     } else {
         1
     }
-}
-
-/// Reads one full request (head + `Content-Length` body). Deadline
-/// semantics as in [`read_head`].
-pub fn read_request(
-    r: &mut BufReader<TcpStream>,
-    deadline: Option<Instant>,
-) -> Result<Request, ReadError> {
-    let (mut req, len) = read_head(r, deadline)?;
-    let mut body = Vec::with_capacity(len.min(64 * 1024));
-    while body.len() < len {
-        check_deadline(deadline)?;
-        let avail = r.fill_buf()?;
-        if avail.is_empty() {
-            return Err(ReadError::Bad(400, "body shorter than content-length"));
-        }
-        let take = avail.len().min(len - body.len());
-        body.extend_from_slice(&avail[..take]);
-        r.consume(take);
-    }
-    req.body = body;
-    Ok(req)
-}
-
-fn check_deadline(deadline: Option<Instant>) -> Result<(), ReadError> {
-    match deadline {
-        Some(d) if Instant::now() >= d => Err(ReadError::Bad(408, "request read timed out")),
-        _ => Ok(()),
-    }
-}
-
-/// Reads one CRLF- (or LF-) terminated line without its terminator.
-/// `at_start` distinguishes "peer closed between requests" (normal) from
-/// "peer closed mid-request" (an error). The deadline is checked between
-/// `fill_buf` syscalls (see [`read_request`]).
-fn read_line(
-    r: &mut BufReader<TcpStream>,
-    at_start: bool,
-    deadline: Option<Instant>,
-) -> Result<String, ReadError> {
-    let mut buf = Vec::new();
-    loop {
-        if !(at_start && buf.is_empty()) {
-            // Mid-request only: the wait for a request to *start* is the
-            // socket timeout's job (idle keep-alive), not the deadline's.
-            check_deadline(deadline)?;
-        }
-        let avail = r.fill_buf()?;
-        if avail.is_empty() {
-            return if at_start && buf.is_empty() {
-                Err(ReadError::Closed)
-            } else {
-                Err(ReadError::Bad(400, "connection closed mid-request"))
-            };
-        }
-        match avail.iter().position(|&b| b == b'\n') {
-            Some(pos) => {
-                buf.extend_from_slice(&avail[..pos]);
-                r.consume(pos + 1);
-                break;
-            }
-            None => {
-                buf.extend_from_slice(avail);
-                let n = avail.len();
-                r.consume(n);
-            }
-        }
-        if buf.len() > MAX_HEAD_BYTES {
-            return Err(ReadError::Bad(431, "request line too long"));
-        }
-    }
-    if buf.last() == Some(&b'\r') {
-        buf.pop();
-    }
-    String::from_utf8(buf).map_err(|_| ReadError::Bad(400, "non-UTF-8 request head"))
 }
 
 /// Human phrase for the status codes this server emits.
@@ -430,100 +295,6 @@ pub fn write_error_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::net::{TcpListener, TcpStream};
-
-    /// Feeds `bytes` through a real loopback socket and parses them.
-    fn parse_bytes(bytes: &[u8]) -> Result<Request, ReadError> {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let bytes = bytes.to_vec();
-        let writer = std::thread::spawn(move || {
-            let mut s = TcpStream::connect(addr).unwrap();
-            s.write_all(&bytes).unwrap();
-        });
-        let (stream, _) = listener.accept().unwrap();
-        let out = read_request(&mut BufReader::new(stream), None);
-        writer.join().unwrap();
-        out
-    }
-
-    #[test]
-    fn parses_post_with_body() {
-        let req = parse_bytes(
-            b"POST /v1/compile HTTP/1.1\r\nHost: x\r\nContent-Length: 4\r\n\r\nabcd",
-        )
-        .unwrap();
-        assert_eq!(req.method, "POST");
-        assert_eq!(req.path, "/v1/compile");
-        assert_eq!(req.body, b"abcd");
-        assert!(req.keep_alive(), "HTTP/1.1 defaults to keep-alive");
-    }
-
-    #[test]
-    fn connection_close_is_honored() {
-        let req =
-            parse_bytes(b"GET /healthz HTTP/1.1\r\nConnection: Close\r\n\r\n").unwrap();
-        assert!(!req.keep_alive());
-    }
-
-    #[test]
-    fn eof_before_request_is_closed() {
-        assert!(matches!(parse_bytes(b"").unwrap_err(), ReadError::Closed));
-    }
-
-    #[test]
-    fn malformed_heads_are_4xx() {
-        for (bytes, want) in [
-            (&b"NONSENSE\r\n\r\n"[..], 400),
-            (&b"GET / HTTP/2\r\n\r\n"[..], 505),
-            (&b"GET / HTTP/1.1\r\nBad Header\r\n\r\n"[..], 400),
-            (&b"POST / HTTP/1.1\r\nContent-Length: nope\r\n\r\n"[..], 400),
-            (&b"POST / HTTP/1.1\r\nContent-Length: 99\r\n\r\nshort"[..], 400),
-            (&b"POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"[..], 501),
-        ] {
-            match parse_bytes(bytes) {
-                Err(ReadError::Bad(status, _)) => assert_eq!(status, want, "{bytes:?}"),
-                other => panic!("{bytes:?} gave {other:?}"),
-            }
-        }
-    }
-
-    #[test]
-    fn drip_fed_request_hits_the_deadline() {
-        // A slow-loris client trickling bytes restarts the socket timeout
-        // on every read; the overall deadline must still cut it off.
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let writer = std::thread::spawn(move || {
-            let mut s = TcpStream::connect(addr).unwrap();
-            for chunk in [&b"GET /he"[..], b"al", b"thz HT", b"TP/1.1"] {
-                if s.write_all(chunk).is_err() {
-                    return; // reader gave up, as intended
-                }
-                std::thread::sleep(std::time::Duration::from_millis(120));
-            }
-        });
-        let (stream, _) = listener.accept().unwrap();
-        stream
-            .set_read_timeout(Some(std::time::Duration::from_secs(5)))
-            .unwrap();
-        let deadline = Instant::now() + std::time::Duration::from_millis(250);
-        let out = read_request(&mut BufReader::new(stream), Some(deadline));
-        match out {
-            Err(ReadError::Bad(408, _)) => {}
-            other => panic!("expected 408 deadline cut-off, got {other:?}"),
-        }
-        writer.join().unwrap();
-    }
-
-    #[test]
-    fn oversized_body_is_413() {
-        let head = format!("POST / HTTP/1.1\r\nContent-Length: {}\r\n\r\n", MAX_BODY_BYTES + 1);
-        match parse_bytes(head.as_bytes()) {
-            Err(ReadError::Bad(413, _)) => {}
-            other => panic!("expected 413, got {other:?}"),
-        }
-    }
 
     /// Feeds `bytes` into a [`RequestParser`] one byte at a time and
     /// collects every complete request — the harshest possible TCP
@@ -583,7 +354,11 @@ mod tests {
             assert_eq!(got[0].method, method);
             assert_eq!(got[0].path, path);
             assert_eq!(got[0].body, body);
+            assert!(got[0].keep_alive(), "HTTP/1.1 defaults to keep-alive");
         }
+        let got =
+            parse_byte_at_a_time(b"GET /healthz HTTP/1.1\r\nConnection: Close\r\n\r\n").unwrap();
+        assert!(!got[0].keep_alive(), "Connection: Close opts out");
     }
 
     #[test]
@@ -615,7 +390,7 @@ mod tests {
     }
 
     #[test]
-    fn incremental_parser_rejections_match_blocking_parser() {
+    fn incremental_parser_rejects_malformed_heads() {
         for (bytes, want) in [
             (&b"NONSENSE\r\n\r\n"[..], 400),
             (&b"GET / HTTP/2\r\n\r\n"[..], 505),

@@ -6,15 +6,14 @@
 //! circuits to Clifford+T and share one process-wide synthesis cache with
 //! every other client. The serving-layer concerns live here:
 //!
-//! * [`service`] — core selection ([`CoreKind`]), shared state, 429
-//!   backpressure, graceful draining shutdown, and cache snapshot
-//!   persistence (warm start on boot, save on shutdown); also the
-//!   blocking thread-per-connection fallback core.
-//! * `event` — the default (Linux) event-driven core: one nonblocking
-//!   epoll readiness loop owning every connection (keep-alive,
-//!   pipelining, idle timeouts, per-connection state machines), bridged
-//!   to handler threads over a bounded dispatch queue with an eventfd
-//!   wakeup.
+//! * [`service`] — configuration, shared state, graceful draining
+//!   shutdown, and cache snapshot persistence (warm start on boot, save
+//!   on shutdown).
+//! * `event` — the event-driven core: one nonblocking epoll readiness
+//!   loop owning every connection (keep-alive, pipelining, idle
+//!   timeouts, per-connection state machines), bridged to handler
+//!   threads over a bounded dispatch queue with an eventfd wakeup; 429
+//!   backpressure at the connection and request caps.
 //! * [`sys`] — the dependency-free raw-syscall wrappers (`epoll`,
 //!   `eventfd`) behind the event core; the crate's only unsafe module.
 //! * [`routes`] — the API: `POST /v1/compile`, `POST /v1/batch`,
@@ -22,7 +21,8 @@
 //! * [`metrics`] — request/latency/queue/cache counters in Prometheus
 //!   text format, built on [`engine::EngineStats`].
 //! * [`http`] / [`json`] — minimal dependency-free HTTP/1.1 and JSON.
-//! * [`queue`] — the bounded MPMC queue behind the backpressure story.
+//! * [`queue`] — the bounded MPMC dispatch queue behind the
+//!   backpressure story.
 //! * [`client`] — a small blocking client used by `trasyn-loadgen` and
 //!   the integration tests.
 //! * [`fuzz`] — the differential fuzzing harness: seeded circuits through
@@ -43,9 +43,19 @@
 //! `trasyn-compile` emits for the same input and settings, at any worker
 //! count, because both are the same `Engine` call (verified by this
 //! crate's loopback tests).
+//!
+//! # Platform
+//!
+//! The crate is Linux-only: the event core is built on `epoll` and
+//! `eventfd` (see [`sys`]), and there is no portable fallback core.
+
+#[cfg(not(target_os = "linux"))]
+compile_error!(
+    "the `server` crate is Linux-only: its event core is built on epoll and eventfd, \
+     and there is no portable fallback core"
+);
 
 pub mod client;
-#[cfg(target_os = "linux")]
 pub(crate) mod event;
 pub mod fuzz;
 pub mod http;
@@ -54,11 +64,10 @@ pub mod metrics;
 pub mod queue;
 pub mod routes;
 pub mod service;
-#[cfg(target_os = "linux")]
 pub mod sys;
 
 pub use client::{Conn, Response};
 pub use fuzz::{FuzzConfig, FuzzReport, Harness};
 pub use metrics::{Endpoint, Metrics};
 pub use queue::BoundedQueue;
-pub use service::{CoreKind, Server, ServerConfig, ServerHandle, ShutdownReport};
+pub use service::{Server, ServerConfig, ServerHandle, ShutdownReport};

@@ -8,8 +8,8 @@
 //!
 //! Latency is exposed as three histograms over the same bucket bounds:
 //! `trasyn_request_latency_ms` (end-to-end, the historic family),
-//! `trasyn_queue_wait_ms` (accept → worker pickup), and
-//! `trasyn_service_ms` (request read → response written), so dashboards
+//! `trasyn_queue_wait_ms` (request parsed → handler pickup), and
+//! `trasyn_service_ms` (handler pickup → response rendered), so dashboards
 //! can tell queueing delay from compute. `trasyn_slow_requests_total`
 //! counts requests past the tracer's slow threshold — including ones the
 //! sampler would otherwise have dropped.
@@ -126,19 +126,19 @@ pub struct Metrics {
     slow: AtomicU64,
     /// End-to-end latency (queue wait + service), the historic family.
     latency: Hist,
-    /// Time between accept and a worker picking the connection up.
+    /// Time between a request finishing parsing and a handler picking it
+    /// up.
     queue_wait: Hist,
-    /// Time between request read and response written.
+    /// Time between handler pickup and response rendered.
     service: Hist,
-    /// Queue-depth samples taken at every worker pickup: sum and count
+    /// Queue-depth samples taken at every handler pickup: sum and count
     /// give the mean depth *while work was flowing* (the live
     /// `trasyn_queue_depth` gauge only shows the instant of the scrape),
     /// max is the high-water mark.
     queue_depth_sum: AtomicU64,
     queue_depth_samples: AtomicU64,
     queue_depth_max: AtomicU64,
-    /// Currently open connections (event core gauge; the thread core
-    /// leaves it at 0 — its connections live on worker threads).
+    /// Currently open connections.
     conns_open: AtomicU64,
     /// Requests served on a reused keep-alive connection (every request
     /// past a connection's first).
@@ -182,9 +182,9 @@ impl Metrics {
     }
 
     /// Records one handled request: endpoint, response status, and the
-    /// two halves of its wall time — queue wait (accept → worker pickup;
-    /// `0` past the first request of a keep-alive connection) and
-    /// service time (request read → response written). The historic
+    /// two halves of its wall time — queue wait (request parsed →
+    /// handler pickup) and service time (handler pickup → response
+    /// rendered). The historic
     /// `trasyn_request_latency_ms` family observes their sum.
     pub fn observe(&self, endpoint: Endpoint, status: u16, queue_wait_ms: f64, service_ms: f64) {
         self.count_unhandled(endpoint, status);
@@ -209,14 +209,14 @@ impl Metrics {
         }
     }
 
-    /// Records one connection shed by the bounded queue (it also gets a
-    /// 429 counted via [`Metrics::count_unhandled`] — this counter
+    /// Records one connection or request shed by backpressure (it also
+    /// gets a 429 counted via [`Metrics::count_unhandled`] — this counter
     /// isolates backpressure sheds from other 429 sources).
     pub fn reject(&self) {
         self.rejected.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Total rejected connections so far.
+    /// Total backpressure sheds so far.
     pub fn rejected(&self) -> u64 {
         self.rejected.load(Ordering::Relaxed)
     }
@@ -237,8 +237,8 @@ impl Metrics {
         self.latency.count.load(Ordering::Relaxed)
     }
 
-    /// Records one queue-depth sample (taken whenever a worker picks a
-    /// connection off the accept queue).
+    /// Records one queue-depth sample (taken whenever a handler picks a
+    /// request off the dispatch queue).
     pub fn sample_queue_depth(&self, depth: usize) {
         let d = depth as u64;
         self.queue_depth_sum.fetch_add(d, Ordering::Relaxed);

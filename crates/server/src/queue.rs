@@ -1,15 +1,15 @@
 //! A bounded MPMC queue with explicit overflow — the server's
 //! backpressure primitive.
 //!
-//! The accept loop [`BoundedQueue::try_push`]es accepted connections;
-//! worker threads block in [`BoundedQueue::pop`]. `try_push` never blocks:
+//! The event loop [`BoundedQueue::try_push`]es parsed requests; handler
+//! threads block in [`BoundedQueue::pop`]. `try_push` never blocks:
 //! when the queue is full the caller gets the item back and answers 429,
 //! which is the whole point — under overload the server says "no"
 //! immediately instead of buffering unbounded work it cannot finish.
 //!
 //! [`BoundedQueue::close`] starts the drain: pushes stop being accepted,
 //! `pop` keeps returning queued items until empty, then returns `None` to
-//! every worker — graceful shutdown finishes in-flight work by
+//! every handler — graceful shutdown finishes in-flight work by
 //! construction.
 
 use std::collections::VecDeque;

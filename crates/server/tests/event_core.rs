@@ -13,10 +13,6 @@
 //! 4. backpressure still sheds with 429 at both layers — the dispatch
 //!    queue (per request, connection closed after) and the open-connection
 //!    cap (at accept, before a byte is read).
-//!
-//! The event core is Linux-only; so is this file.
-
-#![cfg(target_os = "linux")]
 
 use engine::{BackendKind, Engine, GridsynthBackend};
 use server::client::Conn;

@@ -2,13 +2,14 @@
 //!
 //! 1. a warm-started server answers a previously-seen rotation without a
 //!    synthesis call (hit counter increments, miss counter does not);
-//! 2. the bounded queue returns 429 under overflow;
-//! 3. parallel server responses are bit-identical to sequential
+//! 2. parallel server responses are bit-identical to sequential
 //!    `trasyn-compile` output.
+//!
+//! The 429 backpressure paths are covered in `tests/event_core.rs`.
 
 use engine::{BackendKind, Engine, GridsynthBackend};
 use server::client::Conn;
-use server::{json, CoreKind, Server, ServerConfig};
+use server::{json, Server, ServerConfig};
 use std::sync::Arc;
 use std::time::Duration;
 use workloads::requests::{MixKind, RequestMix, RequestPayload};
@@ -182,63 +183,11 @@ fn warm_started_server_hits_without_synthesis() {
 }
 
 #[test]
-fn bounded_queue_returns_429_under_overflow() {
-    // Thread-core semantics: an idle connection occupies a worker until
-    // its read deadline, so a one-worker one-slot server sheds the third
-    // connection. (The event core never parks a worker on an idle
-    // connection — its 429 paths are covered in tests/event_core.rs.)
-    let cfg = ServerConfig {
-        core: CoreKind::Thread,
-        http_workers: 1,
-        queue_depth: 1,
-        read_timeout: Duration::from_secs(2),
-        ..config()
-    };
-    let handle = Server::start("127.0.0.1:0", cfg, engine(1)).unwrap();
-    let addr = handle.addr();
-
-    // Occupy the single worker with an idle connection (it blocks in
-    // read_request until the 2 s read timeout)...
-    let _busy = connect(addr);
-    std::thread::sleep(Duration::from_millis(300));
-    // ...and fill the queue's one slot with another.
-    let _queued = connect(addr);
-    std::thread::sleep(Duration::from_millis(150));
-
-    // The next connection must be shed with 429.
-    let mut shed = connect(addr);
-    let resp = shed
-        .request("POST", "/v1/compile", Some("{\"rz\": 0.1}"))
-        .expect("shed connection still gets an HTTP answer");
-    assert_eq!(resp.status, 429, "bounded queue must shed with 429");
-    assert!(resp.body.contains("queue full"));
-    assert!(!resp.keep_alive(), "shed connections are closed");
-
-    assert!(handle.metrics().rejected() >= 1);
-    let report = handle.shutdown();
-    assert!(report.rejected >= 1);
-}
-
-#[test]
 fn parallel_server_responses_match_sequential_compile() {
-    // The default core (event on Linux, thread elsewhere).
-    parallel_matches_sequential(config());
-}
-
-#[test]
-fn parallel_server_responses_match_sequential_compile_thread_core() {
-    // The blocking fallback core must produce the same bytes.
-    parallel_matches_sequential(ServerConfig {
-        core: CoreKind::Thread,
-        ..config()
-    });
-}
-
-fn parallel_matches_sequential(cfg: ServerConfig) {
     // The server compiles through a 2-thread pool with 4 concurrent HTTP
-    // workers; the reference is the sequential path trasyn-compile uses
+    // handlers; the reference is the sequential path trasyn-compile uses
     // (same Engine call, 1 thread, cold cache per request set).
-    let handle = Server::start("127.0.0.1:0", cfg, engine(2)).unwrap();
+    let handle = Server::start("127.0.0.1:0", config(), engine(2)).unwrap();
     let addr = handle.addr();
 
     let mut qasm_reqs: Vec<(String, String)> = Vec::new(); // (body, name)
@@ -298,7 +247,7 @@ fn parallel_matches_sequential(cfg: ServerConfig) {
             }
             (None, Some(q)) => engine::BatchItem::new(
                 "x",
-                circuit::qasm::from_qasm(q.as_str().unwrap()).unwrap(),
+                circuit::qasm::parse_qasm(q.as_str().unwrap()).unwrap(),
                 1e-2,
                 BackendKind::Gridsynth,
             ),
